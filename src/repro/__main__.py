@@ -25,6 +25,7 @@ import sys
 from . import observability
 from .analysis.__main__ import (
     add_engine_arguments,
+    add_tables_arguments,
     checkpoint_from_args,
     engine_from_args,
     export_observability,
@@ -368,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_json)
 
     p = sub.add_parser("tables", help="regenerate the paper's tables")
-    p.add_argument("tables", nargs="*", choices=["1", "2", "3", "4"], metavar="N")
-    add_engine_arguments(p)
+    add_tables_arguments(p)
     p.set_defaults(fn=_cmd_tables)
 
     p = sub.add_parser(

@@ -47,16 +47,32 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description="Regenerate the paper's evaluation tables (1-4).",
     )
-    # No `choices` here: argparse on 3.11 rejects an empty nargs="*" list
-    # against choices, and "no tables named" must mean "all of them".
+    add_tables_arguments(parser)
+    return parser
+
+
+def _table_number(text: str) -> str:
+    if text not in TABLE_TITLES:
+        raise argparse.ArgumentTypeError(
+            f"unknown table {text!r} (choose from 1 2 3 4)"
+        )
+    return text
+
+
+def add_tables_arguments(parser: argparse.ArgumentParser) -> None:
+    """Every argument of the tables command: ``python -m repro.analysis``
+    and ``python -m repro tables`` both build from this one definition."""
+    # A `type` check, not `choices`: argparse on 3.11 rejects an empty
+    # nargs="*" list against choices, and "no tables named" must mean
+    # "all of them".
     parser.add_argument(
         "tables",
         nargs="*",
+        type=_table_number,
         metavar="N",
         help="tables to print: 1 2 3 4 (default: all)",
     )
     add_engine_arguments(parser)
-    return parser
 
 
 def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
@@ -443,11 +459,7 @@ def main(argv: list[str]) -> int:
         from .report import main as report_cli
 
         return report_cli(argv[1:])
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    bad = [t for t in args.tables if t not in {"1", "2", "3", "4"}]
-    if bad:
-        parser.error(f"unknown table(s): {' '.join(bad)} (choose from 1 2 3 4)")
+    args = build_parser().parse_args(argv)
     try:
         return tables_main(args)
     except JournalError as exc:

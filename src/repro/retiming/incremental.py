@@ -44,7 +44,6 @@ from bisect import bisect_left
 from ..graph.dfg import DFG
 from ..graph.kernel import shared_kernel
 from ..graph.wd import WDKernel
-from ..native import minplus_pass as native_minplus
 from ..observability import count
 from .function import Retiming, RetimingError
 
@@ -339,12 +338,7 @@ class IncrementalFeasibility:
         feasible = None
         for _ in range(max(1, self._n)):
             before = dist
-            # Optional C build of the pass (REPRO_NATIVE_KERNELS=1); the
-            # numpy expression below is the pinned reference and both are
-            # bit-identical (exact integer min over the same candidates).
-            dist = native_minplus(before, C)
-            if dist is None:
-                dist = np.minimum(before, (before[:, None] + C).min(axis=0))
+            dist = np.minimum(before, (before[:, None] + C).min(axis=0))
             relaxations += per_pass
             sweeps += 1
             if np.array_equal(dist, before):

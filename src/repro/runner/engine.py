@@ -446,14 +446,18 @@ class ExperimentEngine:
                 self.stats.respawned += spool.respawned
                 count("workers.respawned", spool.respawned)
         elif self.journal is None:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            from .supervisor import exit_with_parent
+
+            with ProcessPoolExecutor(workers, initializer=exit_with_parent) as pool:
                 envelopes = list(pool.map(_pool_worker, tasks))
         else:
+            from .supervisor import exit_with_parent
+
             # Journaled runs record each completion the moment it lands,
             # not at the end of the batch — a crash between completions
             # loses at most the in-flight units.
             envelopes = [None] * len(tasks)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(workers, initializer=exit_with_parent) as pool:
                 futures = {
                     pool.submit(_pool_worker, t): i for i, t in enumerate(tasks)
                 }

@@ -7,7 +7,9 @@ replaces it for runs that must survive both:
 
 * every worker is a real :mod:`multiprocessing` process with a
   **heartbeat file** touched by a daemon thread every
-  ``heartbeat_interval`` seconds;
+  ``heartbeat_interval`` seconds, and it ends itself once its parent is
+  gone (:func:`exit_with_parent`), so a SIGKILLed run leaves no workers
+  behind;
 * the parent's monitor loop detects **dead** workers (``is_alive()``
   false — SIGKILL, OOM, segfault) and **hung** workers (heartbeat older
   than ``heartbeat_timeout`` while holding a task — a C-level deadlock
@@ -46,7 +48,12 @@ from . import resilience
 from ..observability import count
 from .resilience import JobOutcome, RetryPolicy, failure_payload
 
-__all__ = ["SupervisedPool", "WorkerCrash", "sweep_orphan_heartbeats"]
+__all__ = [
+    "SupervisedPool",
+    "WorkerCrash",
+    "exit_with_parent",
+    "sweep_orphan_heartbeats",
+]
 
 #: Heartbeat directories are ``<tmp>/repro-supervisor-pid<PID>-<random>``:
 #: the owning monitor's pid is embedded in the name so a later pool can
@@ -97,6 +104,24 @@ class WorkerCrash(Exception):
     """A task's worker died or hung; used to build its FAILED payload."""
 
 
+def exit_with_parent(interval: float = 0.5) -> None:
+    """End this process within ``interval`` seconds of its parent's death.
+
+    A pool worker blocks on its task queue, and a SIGKILLed parent never
+    sends the stop sentinel, so the orphan (re-parented, ``os.getppid()``
+    changed) would wait forever.  Starts a daemon thread that polls the
+    parent pid; every local pool worker calls this at start-up.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(interval)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _worker_main(
     worker_id: int,
     task_q,
@@ -109,7 +134,8 @@ def _worker_main(
     The heartbeat is a daemon thread touching ``heartbeat_path`` — it
     stops only when the whole process stops (SIGKILL, SIGSTOP, C-level
     deadlock holding the GIL), which is precisely the condition the
-    monitor needs to observe.
+    monitor needs to observe.  The worker also exits once the parent is
+    gone, checked at the same interval.
     """
     # Imported here (not at module top) to avoid an import cycle:
     # engine imports supervisor for the pool, supervisor needs engine's
@@ -127,6 +153,7 @@ def _worker_main(
             stop.wait(heartbeat_interval)
 
     threading.Thread(target=beat, daemon=True).start()
+    exit_with_parent(heartbeat_interval)
     while True:
         item = task_q.get()
         if item is None:

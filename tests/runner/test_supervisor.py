@@ -11,8 +11,14 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.runner import (
     ExperimentEngine,
@@ -198,9 +204,6 @@ class TestJournalIntegration:
 
 def _dead_pid() -> int:
     """A pid guaranteed dead: a reaped child's."""
-    import subprocess
-    import sys
-
     proc = subprocess.Popen([sys.executable, "-c", "pass"])
     proc.wait()
     return proc.pid
@@ -245,3 +248,79 @@ class TestOrphanHeartbeatSweep:
                 import shutil
 
                 shutil.rmtree(orphan, ignore_errors=True)
+
+
+#: Run by a subprocess: a local pool (``sys.argv[2]``: the supervised
+#: pool or the engine's plain one) whose two workers record their pids
+#: and then sit in a long task until the test SIGKILLs the subprocess.
+_HOLDER = """
+import os, sys, time
+from repro.runner import ExperimentEngine
+
+def hold(params):
+    open(os.path.join(params["dir"], str(os.getpid())), "w").close()
+    time.sleep(120)
+    return {"ok": True}
+
+if __name__ == "__main__":
+    engine = ExperimentEngine(
+        jobs=2, cache=None, supervised=sys.argv[2] == "supervised",
+        heartbeat_timeout=0.5,
+    )
+    engine.map_cached("hold", hold, [{"dir": sys.argv[1], "x": i} for i in range(2)])
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live, non-zombie process (an orphan that
+    exited may linger as a zombie until its new parent reaps it)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: fall back to the signal-0 probe
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+    return state not in ("Z", "X")
+
+
+class TestOrphanedWorkers:
+    @pytest.mark.parametrize("pool", ["supervised", "plain"])
+    def test_workers_exit_when_their_parent_is_sigkilled(self, tmp_path, pool):
+        script = tmp_path / "holder.py"
+        script.write_text(_HOLDER)
+        pids_dir = tmp_path / "pids"
+        pids_dir.mkdir()
+        src = str(Path(repro.__file__).resolve().parents[1])
+        holder = subprocess.Popen(
+            [sys.executable, str(script), str(pids_dir), pool],
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        pids: list[int] = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(pids) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                pids = [int(p.name) for p in pids_dir.iterdir()]
+            assert len(pids) == 2, "the pool's workers never started"
+            holder.kill()
+            holder.wait(timeout=10)
+            # Six parent checks of a plain-pool worker (0.5 s apart),
+            # thirty of a supervised one: generous for a loaded host.
+            deadline = time.monotonic() + 3.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            survivors = [pid for pid in pids if _running(pid)]
+            assert not survivors, f"orphaned workers still running: {survivors}"
+        finally:
+            if holder.poll() is None:
+                holder.kill()
+                holder.wait()
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            sweep_orphan_heartbeats()  # the killed holder's heartbeat dir

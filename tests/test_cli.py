@@ -68,6 +68,23 @@ class TestCli:
         assert "Table 1" in out
         assert "Table 3" not in out
 
+    def test_tables_without_numbers_prints_all_four(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # The README's bare `python -m repro tables`: no table named means
+        # all of them (argparse once rejected the empty list).
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        assert main(["tables"]) == 0
+        out = capsys.readouterr().out
+        for n in ("1", "2", "3", "4"):
+            assert f"=== Table {n}:" in out
+
+    def test_tables_rejects_unknown_table_number(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", "5"])
+        assert exc.value.code == 2
+        assert "unknown table '5'" in capsys.readouterr().err
+
     def test_unknown_workload_raises(self):
         with pytest.raises(KeyError):
             main(["info", "nonexistent"])
