@@ -312,11 +312,12 @@ def execute_compiled(
     replicate :class:`~repro.machine.registers.ConditionalRegisterFile`
     exactly, including error messages.
 
-    ``body_hook``, when provided (see :func:`repro.machine.trace.body_hook`),
-    is offered the whole loop after the pre region: it either executes every
-    iteration vectorized — returning the ``(executed, disabled)`` deltas —
-    or returns ``None`` with machine state untouched, in which case the
-    interpreter loop below runs as usual.
+    ``body_hook``, when provided (the trace compiler's or the emitted
+    code's, picked by :func:`repro.machine.vm.run_program`), is offered the
+    whole loop after the pre region: it either executes every iteration —
+    returning the ``(executed, disabled)`` deltas — or returns ``None``
+    with machine state untouched, in which case the interpreter loop below
+    runs as usual.
     """
     arrays: dict[str, dict[int, int]] = {}
     arrays_get = arrays.get

@@ -24,6 +24,7 @@ from typing import Callable
 from ..codegen.ir import ComputeInstr, DecInstr, Instr, LoopProgram, SetupInstr
 from ..graph.dfg import evaluate_op
 from ..observability import OBS, span
+from . import trace as _tracer
 from .registers import ConditionalRegisterFile, MachineError
 from .trace import ExecutionTrace
 
@@ -87,6 +88,76 @@ def _check_meta(program: LoopProgram, n: int) -> None:
             )
 
 
+#: The emitted-source executor runs loops from this trip count on.  Below
+#: it the dispatch interpreter is cheaper than generating the source and,
+#: on a code-cache miss, ``compile()``-ing it (docs/PERFORMANCE.md).
+EMIT_MIN_TRIP = 64
+
+#: The trace compiler is offered loops from this trip count on.  Below it
+#: the emitted code is faster than trace's numpy set-up and per-segment
+#: work on every traceable paper benchmark (docs/PERFORMANCE.md).
+TRACE_MIN_TRIP = 8192
+
+
+class _BackendChoice:
+    """The loop backend for one run, picked by cost.
+
+    By trip count ``T``: the dispatch interpreter below
+    :data:`EMIT_MIN_TRIP`; the emitted code from there; from
+    :data:`TRACE_MIN_TRIP` on the trace compiler first, if it accepts the
+    body.  A declining backend hands the loop to the next one, down to
+    dispatch, which runs everything.
+
+    ``hook`` is the body hook for
+    :func:`~repro.machine.dispatch.execute_compiled` (``None`` when the
+    trip is too short for a faster backend).  After the run, ``backend``
+    names what executed the loop — ``"trace"``, ``"emit"`` or
+    ``"dispatch"`` — and ``fallbacks`` lists why a backend the trip count
+    selected did not: ``short_trip``, ``step``, ``untraceable``,
+    ``trace_declined`` or ``emit_declined``.
+    """
+
+    __slots__ = ("compiled", "loop", "n", "initial", "trace_hook", "hook",
+                 "backend", "fallbacks")
+
+    def __init__(self, compiled, loop, n: int, initial) -> None:
+        self.compiled, self.loop, self.n, self.initial = compiled, loop, n, initial
+        self.backend = "dispatch"
+        self.fallbacks: list[str] = []
+        self.hook = None
+        self.trace_hook = None
+        trips = loop.trip_count(n)
+        if trips < EMIT_MIN_TRIP:
+            self.fallbacks.append("short_trip")
+            return
+        self.hook = self._run
+        if trips < TRACE_MIN_TRIP or not _tracer._trace_enabled():
+            return  # trace not offered (or off): emitted code, no fallback
+        if loop.step != 1:
+            self.fallbacks.append("step")
+            return
+        self.trace_hook = _tracer.body_hook(compiled, loop, n, initial)
+        if self.trace_hook is None:
+            self.fallbacks.append("untraceable")
+
+    def _run(self, arrays, reg_values):
+        if self.trace_hook is not None:
+            out = self.trace_hook(arrays, reg_values)
+            if out is not None:
+                self.backend = "trace"
+                return out
+            self.fallbacks.append("trace_declined")
+        from .emit import body_hook
+
+        hook = body_hook(self.compiled, self.loop, self.n, self.initial)
+        out = hook(arrays, reg_values) if hook is not None else None
+        if out is None:
+            self.fallbacks.append("emit_declined")
+            return None
+        self.backend = "emit"
+        return out
+
+
 def run_program(
     program: LoopProgram,
     n: int,
@@ -103,9 +174,14 @@ def run_program(
 
     By default execution goes through the pre-compiled threaded-dispatch
     engine (:mod:`repro.machine.dispatch`), which is differential-tested
-    bit-identical to the reference interpreter.  ``dispatch=False`` forces
-    the reference interpreter; ``trace=True`` implies it (tracing hooks
-    live only there, and tracing cost dwarfs interpretation cost anyway).
+    bit-identical to the reference interpreter.  Its loop runs on the
+    cheapest backend for the trip count: the dispatch interpreter below
+    :data:`EMIT_MIN_TRIP` iterations, the emitted-source executor
+    (:mod:`repro.machine.emit`) above, and from :data:`TRACE_MIN_TRIP` on
+    the trace compiler (:mod:`repro.machine.trace`) when it accepts the
+    body.  ``dispatch=False`` forces the reference interpreter;
+    ``trace=True`` implies it (tracing hooks live only there, and tracing
+    cost dwarfs interpretation cost anyway).
     """
     if n < 0:
         raise MachineError(f"trip count must be >= 0, got {n}")
@@ -113,21 +189,35 @@ def run_program(
 
     if dispatch and not trace:
         from .dispatch import compile_program, execute_compiled
-        from .trace import body_hook
 
         if register_capacity is not None and register_capacity < 0:
             raise MachineError(f"capacity must be >= 0, got {register_capacity}")
         compiled = compile_program(program)
+        choice = _BackendChoice(compiled, program.loop, n, initial)
         with span("vm.run", program=program.name, n=n) as sp:
-            arrays, executed, disabled = execute_compiled(
-                compiled,
-                n,
-                initial,
-                {},
-                register_capacity,
-                program.loop.iter_indices(n),
-                body_hook=body_hook(compiled, program.loop, n, initial),
-            )
+            try:
+                arrays, executed, disabled = execute_compiled(
+                    compiled,
+                    n,
+                    initial,
+                    {},
+                    register_capacity,
+                    program.loop.iter_indices(n),
+                    body_hook=choice.hook,
+                )
+            finally:
+                # Counted even when the run raises: no fallback goes unseen.
+                sp.set(backend=choice.backend)
+                if OBS.enabled:
+                    m = OBS.metrics
+                    m.counter(
+                        f"vm.backend.{choice.backend}", "runs per loop backend"
+                    ).inc()
+                    for reason in choice.fallbacks:
+                        m.counter(
+                            f"vm.fallback.{reason}",
+                            "runs a selected loop backend declined",
+                        ).inc()
             sp.set(executed=executed, disabled=disabled)
         if OBS.enabled:
             m = OBS.metrics

@@ -31,6 +31,7 @@ from repro.codegen.ir import (
 from repro.core.csr import csr_pipelined_loop
 from repro.graph import OpKind
 from repro.graph.generators import random_dfg
+from repro.machine import vm
 from repro.machine.dispatch import compile_program
 from repro.machine.trace import body_hook
 from repro.machine.vm import run_program
@@ -40,6 +41,19 @@ from repro.schedule.resources import ResourceModel
 from repro.workloads import WORKLOADS
 
 _MACHINE = ResourceModel(units={"alu": 2, "mul": 1})
+
+
+@pytest.fixture(autouse=True)
+def _offer_trace_every_loop(monkeypatch):
+    monkeypatch.setattr(vm, "EMIT_MIN_TRIP", 0)
+    monkeypatch.setattr(vm, "TRACE_MIN_TRIP", 0)
+
+
+@pytest.fixture
+def trace_on(monkeypatch):
+    """Trace switched on even where the suite runs with REPRO_VM_TRACE=0,
+    for the tests that assert trace itself ran."""
+    monkeypatch.delenv("REPRO_VM_TRACE", raising=False)
 
 
 def _outcome(fn):
@@ -242,7 +256,7 @@ class TestTraceFallbackShapes:
         result = _assert_trace_parity(p, 12)
         assert result is not None and result.executed == 12
 
-    def test_affine_self_recurrence_is_traced(self):
+    def test_affine_self_recurrence_is_traced(self, trace_on):
         """x[i] = 7*x[i-1] + 11: the simplest cyclic-scan case."""
         body = [
             ComputeInstr(
@@ -309,7 +323,7 @@ class TestTraceFallbackShapes:
 
 
 class TestTraceSwitchesAndCounters:
-    def test_kill_switch(self, fig8, monkeypatch):
+    def test_kill_switch(self, fig8, monkeypatch, trace_on):
         """REPRO_VM_TRACE=0 must disable the backend (hook is None) while
         results stay identical through the interpreter."""
         _, r = minimize_cycle_period(fig8)
@@ -325,7 +339,7 @@ class TestTraceSwitchesAndCounters:
         assert disabled.executed == enabled.executed
         assert disabled.disabled == enabled.disabled
 
-    def test_trace_steps_counter(self, fig8):
+    def test_trace_steps_counter(self, fig8, trace_on):
         """A traced run must report vm.trace.steps and the same
         vm.instructions.* totals as the interpreter."""
         _, r = minimize_cycle_period(fig8)

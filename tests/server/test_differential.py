@@ -10,6 +10,9 @@ both directions, server-first and CLI-first.
 from __future__ import annotations
 
 import asyncio
+import os
+
+import pytest
 
 from repro.__main__ import main as cli_main
 from repro.runner.difftest import _graph_for_seed
@@ -60,6 +63,16 @@ def test_server_sweep_summary_is_byte_identical_to_cli(tmp_path, capsys):
     assert env["payload"]["failures"] == []
 
 
+#: An injected ``cache.write`` fault drops the very entries these tests
+#: assert as hits (the same reason the CLI's warm-sweep hit-rate test is
+#: skipped under a fault plan).
+_cache_faults_break_hits = pytest.mark.skipif(
+    bool(os.environ.get("REPRO_FAULT_PLAN")),
+    reason="an injected cache fault legitimately drops the entries asserted as hits",
+)
+
+
+@_cache_faults_break_hits
 def test_server_sweep_rides_the_cli_populated_cache(tmp_path, capsys):
     """CLI first: the server's sweep cells must all be cache hits —
     proof the two paths compute identical keys AND identical payloads
@@ -97,6 +110,7 @@ def test_cli_sweep_rides_the_server_populated_cache(tmp_path, capsys):
     assert "0 computed" in out
 
 
+@_cache_faults_break_hits
 def test_transform_request_matches_a_sweep_cell(tmp_path, capsys):
     """One server transform request addresses the exact cache entry a CLI
     sweep cell wrote: served cached, payload equal to direct execution."""
